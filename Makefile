@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e check bench bench-index bench-repl bench-failover bench-router bench-all
+.PHONY: all build test race vet fmt fanout fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e check bench bench-index bench-repl bench-failover bench-router bench-all
 
 all: check
 
@@ -21,6 +21,15 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
+
+# One owner for data-parallel fan-out: internal/par is the only
+# non-test code under internal/ that may read runtime.GOMAXPROCS, so no
+# package grows its own worker pool again.
+fanout:
+	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' 'runtime\.GOMAXPROCS' internal | grep -v '^internal/par/'); \
+	if [ -n "$$out" ]; then \
+		echo "runtime.GOMAXPROCS outside internal/par (use par.For):"; echo "$$out"; exit 1; \
 	fi
 
 # Fault-injection suite: replays the online algorithm against a jobs
@@ -88,7 +97,7 @@ crash:
 replay-e2e:
 	$(GO) test -race -count=1 -run 'ReplayE2E' ./internal/replay
 
-check: build vet fmt race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e bench-index
+check: build vet fmt fanout race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e bench-index
 
 # Serving-path perf trajectory: single classify hot/cold in the
 # embedding cache, 1000-job batch serial vs. all cores, full train.

@@ -35,6 +35,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -302,26 +303,7 @@ func run(o options) error {
 	var follower *repl.Follower
 	var replClient *repl.Client
 	if following {
-		ccfg := repl.ClientConfig{
-			BaseURL: o.follow,
-			Retry: resilience.Policy{
-				MaxAttempts: o.fetchAttempts,
-				BaseDelay:   o.fetchBackoff,
-			},
-			Breaker: resilience.BreakerConfig{
-				FailureThreshold: o.breakerThreshold,
-				Cooldown:         o.breakerCooldown,
-			},
-			Seed: o.seed,
-			// One process-wide bucket: however many goroutines end up
-			// retrying against the leader, their total retry amplification
-			// stays a fraction of the success rate.
-			Budget: resilience.NewBudget(resilience.BudgetConfig{}),
-		}
-		if members.Size() > 0 {
-			ccfg.Allowed = members.ContainsURL
-		}
-		replClient = repl.NewClient(ccfg)
+		replClient = repl.NewClient(replClientConfig(o, members))
 		var err error
 		follower, err = repl.NewFollower(repl.FollowerConfig{
 			Client: replClient,
@@ -602,6 +584,36 @@ func run(o options) error {
 	}
 	log.Printf("shutdown complete")
 	return nil
+}
+
+// replClientConfig builds the follower's replication client settings.
+// The 421 redirect allowlist is the configured membership when -peers
+// is set; a static -follow without peers admits only its own -follow
+// base, so no Location header can steer it at another address.
+func replClientConfig(o options, members cluster.Membership) repl.ClientConfig {
+	ccfg := repl.ClientConfig{
+		BaseURL: o.follow,
+		Retry: resilience.Policy{
+			MaxAttempts: o.fetchAttempts,
+			BaseDelay:   o.fetchBackoff,
+		},
+		Breaker: resilience.BreakerConfig{
+			FailureThreshold: o.breakerThreshold,
+			Cooldown:         o.breakerCooldown,
+		},
+		Seed: o.seed,
+		// One process-wide bucket: however many goroutines end up
+		// retrying against the leader, their total retry amplification
+		// stays a fraction of the success rate.
+		Budget: resilience.NewBudget(resilience.BudgetConfig{}),
+	}
+	if members.Size() > 0 {
+		ccfg.Allowed = members.ContainsURL
+	} else {
+		follow := strings.TrimRight(o.follow, "/")
+		ccfg.Allowed = func(base string) bool { return strings.TrimRight(base, "/") == follow }
+	}
+	return ccfg
 }
 
 func newestEnd(st *store.Store) time.Time {

@@ -1,11 +1,7 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 )
 
@@ -45,53 +41,14 @@ func ParseMemberList(spec string) ([]Member, error) {
 // redirect chasing: a Location header pointing anywhere else must be
 // refused, not followed.
 func (m Membership) ContainsURL(u string) bool {
-	return containsURL(m.all, u)
-}
-
-// MembersContainURL is ContainsURL for a bare member slice (the router
-// holds a list, not a Membership, since it is not itself a member).
-func MembersContainURL(members []Member, u string) bool {
-	return containsURL(members, u)
-}
-
-func containsURL(members []Member, u string) bool {
 	u = strings.TrimRight(u, "/")
 	if u == "" {
 		return false
 	}
-	for _, mem := range members {
+	for _, mem := range m.all {
 		if mem.URL == u {
 			return true
 		}
 	}
 	return false
-}
-
-// maxStatusBody bounds how much of a /v1/cluster response FetchStatus
-// will read — the document is a few KB even for large fleets.
-const maxStatusBody = 1 << 20
-
-// FetchStatus retrieves one node's GET /v1/cluster view. It is the
-// router's probe primitive; hc's timeout (or ctx) bounds the call.
-func FetchStatus(ctx context.Context, hc *http.Client, baseURL string) (Status, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(baseURL, "/")+"/v1/cluster", nil)
-	if err != nil {
-		return Status{}, fmt.Errorf("cluster: build status request: %w", err)
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return Status{}, err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxStatusBody))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return Status{}, fmt.Errorf("cluster: status probe of %s: HTTP %d", baseURL, resp.StatusCode)
-	}
-	var st Status
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxStatusBody)).Decode(&st); err != nil {
-		return Status{}, fmt.Errorf("cluster: decode status from %s: %w", baseURL, err)
-	}
-	return st, nil
 }

@@ -1,12 +1,6 @@
 package cluster
 
-import (
-	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"testing"
-)
+import "testing"
 
 func TestParseMemberList(t *testing.T) {
 	members, err := ParseMemberList("n1=http://a:1/, n2=http://b:2 ,")
@@ -34,49 +28,16 @@ func TestContainsURL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !MembersContainURL(members, "http://a:1") || !MembersContainURL(members, "http://b:2/") {
-		t.Fatal("configured member URL not recognized")
-	}
-	for _, u := range []string{"http://evil:1", "http://a:2", "", "https://a:1"} {
-		if MembersContainURL(members, u) {
-			t.Errorf("non-member %q admitted", u)
-		}
-	}
-
 	m, err := New("n1", members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.ContainsURL("http://b:2") || m.ContainsURL("http://c:3") {
-		t.Fatal("Membership.ContainsURL disagrees with the member list")
+	if !m.ContainsURL("http://a:1") || !m.ContainsURL("http://b:2/") {
+		t.Fatal("configured member URL not recognized")
 	}
-}
-
-func TestFetchStatus(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/cluster" {
-			http.NotFound(w, r)
-			return
+	for _, u := range []string{"http://evil:1", "http://a:2", "", "https://a:1"} {
+		if m.ContainsURL(u) {
+			t.Errorf("non-member %q admitted", u)
 		}
-		json.NewEncoder(w).Encode(Status{Self: "n1", Role: "leader", LeaderID: "n1", LeaderURL: "http://a:1", LeaseHeld: true})
-	}))
-	defer srv.Close()
-
-	st, err := FetchStatus(context.Background(), srv.Client(), srv.URL+"/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Role != "leader" || !st.LeaseHeld || st.LeaderURL != "http://a:1" {
-		t.Fatalf("status = %+v", st)
-	}
-}
-
-func TestFetchStatusNon200(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	if _, err := FetchStatus(context.Background(), srv.Client(), srv.URL); err == nil {
-		t.Fatal("503 probe reported success")
 	}
 }

@@ -462,7 +462,7 @@ func TestClassifyBatchParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := st.All()
-	if len(all) < 2*minPredictChunk {
+	if len(all) < 128 {
 		t.Fatalf("store too small to force the parallel path: %d jobs", len(all))
 	}
 	batch, err := fw.ClassifyJobs(ctx, all)
@@ -481,7 +481,7 @@ func TestClassifyBatchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchCanceledContext asserts the worker pool honours
+// TestClassifyBatchCanceledContext asserts ClassifyJobs honours
 // cancellation before fanning out.
 func TestClassifyBatchCanceledContext(t *testing.T) {
 	st := seedStore(t)

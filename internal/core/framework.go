@@ -521,7 +521,8 @@ func (f *Framework) ModelInfo() (name string, version int, trainedAt time.Time) 
 
 // ClassifyJobs runs the Inference Workflow on explicit job records
 // (e.g. just-submitted jobs pushed by the scheduler hook). The batch is
-// encoded and predicted across a GOMAXPROCS-sized worker pool; result
+// encoded, then predicted; each stage fans the whole batch out once
+// itself (see internal/par), and ctx is checked between them. Result
 // order matches input order, and every prediction in the batch comes
 // from the same model snapshot.
 func (f *Framework) ClassifyJobs(ctx context.Context, jobs []*job.Job) ([]Prediction, error) {
@@ -549,7 +550,11 @@ func (f *Framework) ClassifyJobs(ctx context.Context, jobs []*job.Job) ([]Predic
 		}
 		return out, nil
 	}
-	labels, err := predictBatch(ctx, st.model, f.encoder.Encode(jobs))
+	enc := f.encoder.Encode(jobs)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	labels, err := st.model.Predict(enc)
 	if err != nil {
 		return nil, fmt.Errorf("core: predict: %w", err)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // Serving-path benchmarks for the non-blocking inference stack: batch
-// classification across the worker pool, the sharded embedding cache
+// classification fanned out across cores, the sharded embedding cache
 // hot/cold split, and a full Training Workflow pass. cmd/mcbound-bench
 // runs the same workloads standalone and records BENCH_serving.json.
 
@@ -49,9 +49,9 @@ func benchServingFramework(b *testing.B) *Framework {
 }
 
 // BenchmarkClassifyBatch measures a 1000-job ClassifyJobs call. The
-// workers-1 variant pins GOMAXPROCS to 1 (the serial fallback path);
-// workers-max uses every core, so the ratio between the two is the
-// worker-pool speedup on this machine.
+// workers-1 variant pins GOMAXPROCS to 1, so par.For runs every stage
+// inline; workers-max uses every core, so the ratio between the two is
+// the fan-out speedup of the encode and predict stages on this machine.
 func BenchmarkClassifyBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name  string

@@ -1,10 +1,8 @@
 package encode
 
 import (
-	"runtime"
-	"sync"
-
 	"mcbound/internal/job"
+	"mcbound/internal/par"
 )
 
 // Encoder is the MCBound Feature Encoder component: it filters the job
@@ -60,43 +58,13 @@ func (e *Encoder) EncodeJob(j *job.Job) []float32 {
 	return v
 }
 
-// Encode embeds a batch of jobs, splitting the work across all cores.
-// Result row i corresponds to jobs[i].
+// Encode embeds a batch of jobs, fanned out across cores with par.For
+// (a single job runs inline). Result row i corresponds to jobs[i].
 func (e *Encoder) Encode(jobs []*job.Job) [][]float32 {
 	out := make([][]float32, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i, j := range jobs {
-			out[i] = e.EncodeJob(j)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (len(jobs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = e.EncodeJob(jobs[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.For(len(jobs), func(i int) {
+		out[i] = e.EncodeJob(jobs[i])
+	})
 	return out
 }
 

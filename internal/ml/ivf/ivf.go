@@ -21,12 +21,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"mcbound/internal/linalg"
 	"mcbound/internal/ml"
+	"mcbound/internal/par"
 	"mcbound/internal/stats"
 )
 
@@ -276,7 +276,7 @@ func (ix *Index) calibrateNProbe(target float64, seed uint64) int {
 
 	// Exact ground truth per query, parallel across cores.
 	truth := make([][]int32, nq)
-	parallelFor(nq, func(i int) {
+	par.For(nq, func(i int) {
 		truth[i] = exactTopK(ix.data, ix.dim, ix.row(int(rows[i])), k)
 	})
 
@@ -433,10 +433,10 @@ func kmeans(data []float32, dim, n, k, sample, iters int, seed uint64) (cents []
 }
 
 // assignRows writes the nearest-centroid id of each listed row into
-// out, fanned out across GOMAXPROCS workers.
+// out, fanned out with par.For.
 func assignRows(data []float32, dim int, rows []int32, cents []float32, out []int32) {
 	k := len(cents) / dim
-	parallelFor(len(rows), func(i int) {
+	par.For(len(rows), func(i int) {
 		row := rowOf(data, dim, int(rows[i]))
 		best, bestD := 0, math.Inf(1)
 		for c := 0; c < k; c++ {
@@ -646,39 +646,6 @@ func selectNearestClusters(cdist []float64, nprobe int, dst []int32) []int32 {
 		dst = append(dst, t.c)
 	}
 	return dst
-}
-
-// parallelFor runs f(i) for i in [0, n) across GOMAXPROCS workers.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // ErrCorruptIndex is wrapped by Load on any malformed index section.

@@ -12,13 +12,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"runtime"
 	"sync"
 
 	"mcbound/internal/job"
 	"mcbound/internal/linalg"
 	"mcbound/internal/ml"
 	"mcbound/internal/ml/ivf"
+	"mcbound/internal/par"
 )
 
 // Config holds the KNN hyper-parameters. The defaults match
@@ -207,9 +207,10 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	return nil
 }
 
-// Predict implements ml.Classifier: a parallel brute-force scan over the
-// unique vectors with a bounded top-k selection per query, then majority
-// vote among the k nearest points (ties broken toward the nearest).
+// Predict implements ml.Classifier: a brute-force scan over the unique
+// vectors with a bounded top-k selection per query, then majority vote
+// among the k nearest points (ties broken toward the nearest). Queries
+// are fanned out with par.For; a single query runs inline.
 func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -222,7 +223,7 @@ func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 		}
 	}
 	out := make([]job.Label, len(x))
-	parallelFor(len(x), func(i int) {
+	par.For(len(x), func(i int) {
 		top := make([]neighbor, 0, c.cfg.K)
 		out[i] = c.predictOne(x[i], top)
 	})
@@ -396,39 +397,6 @@ func equalVec(a, b []float32) bool {
 		}
 	}
 	return true
-}
-
-// parallelFor runs f(i) for i in [0, n) across GOMAXPROCS workers.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 const (

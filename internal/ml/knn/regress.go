@@ -9,6 +9,7 @@ import (
 
 	"mcbound/internal/linalg"
 	"mcbound/internal/ml"
+	"mcbound/internal/par"
 )
 
 // Regressor is the k-nearest-neighbor regressor of the paper's future
@@ -127,7 +128,7 @@ func (r *Regressor) PredictValues(x [][]float32) ([]float64, error) {
 		}
 	}
 	out := make([]float64, len(x))
-	parallelFor(len(x), func(i int) {
+	par.For(len(x), func(i int) {
 		out[i] = r.predictOne(x[i])
 	})
 	return out, nil

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"mcbound/internal/job"
 	"mcbound/internal/ml"
+	"mcbound/internal/par"
 	"mcbound/internal/stats"
 )
 
@@ -82,7 +82,7 @@ func (c *Classifier) NumTrees() int {
 
 // Train implements ml.Classifier: it quantizes the data once, then grows
 // each tree on an independent bootstrap sample. Trees are grown in
-// parallel across cores; every tree's randomness derives from the forest
+// parallel with par.For; every tree's randomness derives from the forest
 // seed so training is deterministic regardless of scheduling.
 func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	if err := ml.CheckTrainingData(x, y); err != nil {
@@ -126,31 +126,25 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 		seeds[i] = master.Uint64()
 	}
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for t := 0; t < cfg.NumTrees; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer func() { <-sem; wg.Done() }()
-			rng := stats.NewRNG(seeds[t])
-			idx := make([]int, len(xs))
-			for i := range idx {
-				idx[i] = rng.Intn(len(xs)) // bootstrap with replacement
-			}
-			tb := &treeBuilder{
-				cfg:     cfg,
-				dim:     dim,
-				binned:  binned,
-				classes: classes,
-				binr:    binr,
-				rng:     rng,
-				idx:     idx,
-			}
-			trees[t] = tb.build()
-		}(t)
-	}
-	wg.Wait()
+	// Each tree draws only from its own pre-drawn seed, so the forest is
+	// identical however par.For schedules the trees.
+	par.For(cfg.NumTrees, func(t int) {
+		rng := stats.NewRNG(seeds[t])
+		idx := make([]int, len(xs))
+		for i := range idx {
+			idx[i] = rng.Intn(len(xs)) // bootstrap with replacement
+		}
+		tb := &treeBuilder{
+			cfg:     cfg,
+			dim:     dim,
+			binned:  binned,
+			classes: classes,
+			binr:    binr,
+			rng:     rng,
+			idx:     idx,
+		}
+		trees[t] = tb.build()
+	})
 
 	c.mu.Lock()
 	c.dim, c.trees = dim, trees
@@ -159,8 +153,8 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 }
 
 // Predict implements ml.Classifier: majority vote across trees, ties
-// resolved to memory-bound (the majority class of the domain),
-// parallelized over queries.
+// resolved to memory-bound (the majority class of the domain). Queries
+// are fanned out with par.For; a single query runs inline.
 func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -173,7 +167,7 @@ func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 		}
 	}
 	out := make([]job.Label, len(x))
-	parallelFor(len(x), func(i int) {
+	par.For(len(x), func(i int) {
 		votes := [numClasses]int{}
 		for t := range c.trees {
 			votes[c.trees[t].predict(x[i])]++
@@ -185,39 +179,6 @@ func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 		}
 	})
 	return out, nil
-}
-
-// parallelFor runs f(i) for i in [0, n) across GOMAXPROCS workers.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 const marshalMagic = "MCBRF001"

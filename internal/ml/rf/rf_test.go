@@ -1,7 +1,9 @@
 package rf
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -296,5 +298,32 @@ func TestPredictionAlwaysBinary(t *testing.T) {
 func TestName(t *testing.T) {
 	if New(DefaultConfig()).Name() != "rf" {
 		t.Error("wrong name")
+	}
+}
+
+// Tree scheduling must not leak into the model: a forest trained with a
+// fixed seed marshals to the same bytes whether par.For grows the trees
+// inline (GOMAXPROCS 1) or across four workers.
+func TestTrainBytesIndependentOfGOMAXPROCS(t *testing.T) {
+	x, y := xorData(400, stats.NewRNG(5))
+	cfg := DefaultConfig()
+	cfg.NumTrees = 16
+	cfg.Seed = 91
+	train := func(procs int) []byte {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		c := New(cfg)
+		if err := c.Train(x, y); err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	serial, parallel := train(1), train(4)
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("forest bytes differ: %d bytes at GOMAXPROCS 1 vs %d at 4", len(serial), len(parallel))
 	}
 }

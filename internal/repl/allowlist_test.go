@@ -11,6 +11,17 @@ import (
 	"mcbound/internal/resilience"
 )
 
+// membership builds the static two-node membership the server wires as
+// the replication allowlist.
+func membership(t *testing.T, n1, n2 string) cluster.Membership {
+	t.Helper()
+	m, err := cluster.New("n1", []cluster.Member{{ID: "n1", URL: n1}, {ID: "n2", URL: n2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // A 421 Location pointing outside the configured membership must be a
 // hard error, not a hop: following it would let any node that can
 // answer a replication request steer the follower's traffic (and its
@@ -20,14 +31,11 @@ func TestClientRefusesRedirectOutsideMembership(t *testing.T) {
 	evil := serve421(t, func() string { return "" }) // stands in for an attacker's box
 	follower := serve421(t, func() string { return evil.URL })
 
-	members := []cluster.Member{
-		{ID: "n1", URL: follower.URL},
-		{ID: "n2", URL: leader.URL},
-	}
+	members := membership(t, follower.URL, leader.URL)
 	cl := repl.NewClient(repl.ClientConfig{
 		BaseURL: follower.URL,
 		Seed:    3,
-		Allowed: func(base string) bool { return cluster.MembersContainURL(members, base) },
+		Allowed: members.ContainsURL,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -49,14 +57,11 @@ func TestClientRefusesRedirectOutsideMembership(t *testing.T) {
 func TestClientFollowsRedirectWithinMembership(t *testing.T) {
 	d, leader := newLeaderServer(t, 3)
 	follower := serve421(t, func() string { return leader.URL })
-	members := []cluster.Member{
-		{ID: "n1", URL: follower.URL},
-		{ID: "n2", URL: leader.URL},
-	}
+	members := membership(t, follower.URL, leader.URL)
 	cl := repl.NewClient(repl.ClientConfig{
 		BaseURL: follower.URL,
 		Seed:    3,
-		Allowed: func(base string) bool { return cluster.MembersContainURL(members, base) },
+		Allowed: members.ContainsURL,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -69,6 +74,26 @@ func TestClientFollowsRedirectWithinMembership(t *testing.T) {
 	}
 	if cl.Base() != leader.URL {
 		t.Fatalf("base = %q, want adopted leader %q", cl.Base(), leader.URL)
+	}
+}
+
+// The elector's leader-change path repoints the client with a URL
+// learned from peers; it gets the same allowlist as a 421 Location, so a
+// non-member URL is dropped and the base stays put.
+func TestClientRedirectRespectsAllowlist(t *testing.T) {
+	members := membership(t, "http://n1:8080", "http://n2:8080")
+	cl := repl.NewClient(repl.ClientConfig{
+		BaseURL: "http://n1:8080",
+		Seed:    3,
+		Allowed: members.ContainsURL,
+	})
+	cl.Redirect("http://evil")
+	if got := cl.Base(); got != "http://n1:8080" {
+		t.Fatalf("Redirect to a non-member moved the base to %q", got)
+	}
+	cl.Redirect("http://n2:8080/")
+	if got := cl.Base(); got != "http://n2:8080" {
+		t.Fatalf("Redirect to a member: base %q, want http://n2:8080", got)
 	}
 }
 

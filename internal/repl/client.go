@@ -112,10 +112,12 @@ func (c *Client) Base() string {
 // Redirect repoints the client at a new leader and resets the breaker,
 // so failures charged to the dead leader do not block the live one. The
 // elector calls it on leader change; get() calls it after a successful
-// 421-redirect chase.
+// 421-redirect chase. A URL that fails the configured allowlist is
+// dropped and the base stays put: a leader URL learned from peers gets
+// the same membership check as a 421 Location.
 func (c *Client) Redirect(url string) {
 	url = strings.TrimRight(url, "/")
-	if url == "" {
+	if url == "" || (c.allowed != nil && !c.allowed(url)) {
 		return
 	}
 	c.mu.Lock()
