@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt fanout fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e check bench bench-index bench-repl bench-failover bench-router bench-all
+.PHONY: all build test race vet fmt fanout wiring fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e check bench bench-index bench-repl bench-failover bench-router bench-all
 
 all: check
 
@@ -30,6 +30,16 @@ fanout:
 	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' 'runtime\.GOMAXPROCS' internal | grep -v '^internal/par/'); \
 	if [ -n "$$out" ]; then \
 		echo "runtime.GOMAXPROCS outside internal/par (use par.For):"; echo "$$out"; exit 1; \
+	fi
+
+# One owner for node assembly: internal/node is the only non-test code
+# under cmd/ and internal/ (besides the election and repl packages
+# themselves) that builds electors and replication roles, so the
+# server, the benches and the chaos suites boot the same wiring.
+wiring:
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'election\.New\(|repl\.New(Leader|Follower|FollowerNode)\(' cmd internal | grep -vE '^internal/(node|election|repl)/'); \
+	if [ -n "$$out" ]; then \
+		echo "node wiring outside internal/node (use node.New):"; echo "$$out"; exit 1; \
 	fi
 
 # Fault-injection suite: replays the online algorithm against a jobs
@@ -97,7 +107,7 @@ crash:
 replay-e2e:
 	$(GO) test -race -count=1 -run 'ReplayE2E' ./internal/replay
 
-check: build vet fmt fanout race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e bench-index
+check: build vet fmt fanout wiring race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e bench-index
 
 # Serving-path perf trajectory: single classify hot/cold in the
 # embedding cache, 1000-job batch serial vs. all cores, full train.

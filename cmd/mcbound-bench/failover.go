@@ -12,7 +12,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -20,17 +19,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
-	"mcbound/internal/cluster"
-	"mcbound/internal/core"
-	"mcbound/internal/election"
-	"mcbound/internal/fetch"
-	"mcbound/internal/httpapi"
-	"mcbound/internal/job"
-	"mcbound/internal/repl"
-	"mcbound/internal/resilience"
-	"mcbound/internal/store"
+	"mcbound/internal/node"
 )
 
 const failoverKills = 20
@@ -59,29 +51,21 @@ func benchFailover(rep *report) error {
 
 // failoverOnce runs one kill: returns the death-to-first-accepted-write
 // duration and how many acknowledged inserts were verified on the
-// successor.
+// successor. Every node boots through node.New, the mcbound-server
+// wiring, with tight timings set through their flag fields.
 func failoverOnce(seed uint64) (time.Duration, int, error) {
-	const (
-		heartbeat = 10 * time.Millisecond
-		leaseTTL  = 100 * time.Millisecond
-		electT    = 50 * time.Millisecond
-	)
 	type fnode struct {
 		id   string
 		url  string
 		srv  *httptest.Server
-		st   *store.Store
-		node *repl.Node
-		el   *election.Elector
-		fol  *repl.Follower
-		dur  *store.Durable
+		proc *node.Node
 	}
 	ids := []string{"n1", "n2", "n3"}
 	srvs := make([]*httptest.Server, 3)
-	members := make([]cluster.Member, 3)
+	peers := make([]string, 3)
 	for i := range srvs {
 		srvs[i] = httptest.NewUnstartedServer(nil)
-		members[i] = cluster.Member{ID: ids[i], URL: "http://" + srvs[i].Listener.Addr().String()}
+		peers[i] = ids[i] + "=http://" + srvs[i].Listener.Addr().String()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var nodes []*fnode
@@ -89,131 +73,42 @@ func failoverOnce(seed uint64) (time.Duration, int, error) {
 	defer func() {
 		cancel()
 		for _, n := range nodes {
-			n.el.Stop()
-			if n.fol != nil {
-				n.fol.Stop()
-			}
-		}
-		for _, n := range nodes {
 			n.srv.Close()
-			if n.dur != nil {
-				n.dur.Close()
-			}
-			if d := n.node.Durable(); d != nil && d != n.dur {
-				d.Close()
-			}
+			n.proc.Close()
 		}
 		for _, d := range dirs {
 			os.RemoveAll(d)
 		}
 	}()
 
-	tmpDir := func() (string, error) {
-		d, err := os.MkdirTemp("", "mcbound-failover-")
-		if err == nil {
-			dirs = append(dirs, d)
-		}
-		return d, err
-	}
-
 	for i := range ids {
-		n := &fnode{id: ids[i], url: members[i].URL, srv: srvs[i], st: store.New()}
-		mem, err := cluster.New(ids[i], members)
+		dir, err := os.MkdirTemp("", "mcbound-failover-")
 		if err != nil {
 			return 0, 0, err
 		}
-		cfg := election.Config{
-			Members:         mem,
-			LeaseTTL:        leaseTTL,
-			HeartbeatEvery:  heartbeat,
-			MaxMissed:       2,
-			ElectionTimeout: electT,
-			RequestTimeout:  400 * time.Millisecond,
-			Seed:            seed*131 + uint64(i),
-			Transport:       election.NewHTTPTransport(&http.Client{Timeout: 300 * time.Millisecond}, seed+uint64(i)),
+		dirs = append(dirs, dir)
+		cfg := node.Defaults()
+		cfg.NodeID, cfg.Peers = ids[i], strings.Join(peers, ",")
+		cfg.DataDir = dir
+		cfg.LeaseTTL, cfg.HeartbeatEvery = 100*time.Millisecond, 10*time.Millisecond
+		cfg.ElectionTimeout, cfg.MaxMissed = 50*time.Millisecond, 2
+		cfg.FollowPoll = 10 * time.Millisecond
+		cfg.FetchAttempts, cfg.FetchBackoff = 2, 5*time.Millisecond
+		cfg.Seed = seed*131 + uint64(i)
+		cfg.Logger = log.New(io.Discard, "", 0)
+		if i > 0 {
+			cfg.Follow = nodes[0].url
 		}
-		var apiDur *store.Durable
-		if i == 0 {
-			dir, err := tmpDir()
-			if err != nil {
-				return 0, 0, err
-			}
-			dur, err := store.OpenDurable(dir, n.st, store.DurableOptions{})
-			if err != nil {
-				return 0, 0, err
-			}
-			n.dur = dur
-			n.node = repl.NewLeader(dur)
-			apiDur = dur
-		} else {
-			fst := n.st
-			client := repl.NewClient(repl.ClientConfig{
-				BaseURL: members[0].URL,
-				HTTP:    &http.Client{Timeout: 500 * time.Millisecond},
-				Retry: resilience.Policy{
-					MaxAttempts: 2,
-					BaseDelay:   5 * time.Millisecond,
-					MaxDelay:    20 * time.Millisecond,
-				},
-				Seed: seed*17 + uint64(i),
-			})
-			fol, err := repl.NewFollower(repl.FollowerConfig{
-				Client: client,
-				Apply: func(payload []byte) error {
-					var j job.Job
-					if err := json.Unmarshal(payload, &j); err != nil {
-						return err
-					}
-					return fst.Insert(&j)
-				},
-				Poll: heartbeat,
-				Seed: seed*29 + uint64(i),
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			dir, derr := tmpDir()
-			if derr != nil {
-				return 0, 0, derr
-			}
-			n.fol = fol
-			n.node = repl.NewFollowerNode(fol, members[0].URL, repl.PromotePlan{Dir: dir, Store: fst})
-			node := n.node
-			cfg.OnLeaderChange = func(u string) {
-				node.SetLeaderURL(u)
-				client.Redirect(u)
-			}
-			cfg.BeforePromote = election.FinalDrain(fol, 2*time.Second)
-		}
-		cfg.Node = n.node
-		el, err := election.New(cfg)
+		proc, err := node.New(ctx, cfg, nil)
 		if err != nil {
 			return 0, 0, err
 		}
-		n.el = el
-		fw, err := core.New(core.DefaultConfig(), fetch.StoreBackend{Store: n.st})
-		if err != nil {
-			return 0, 0, err
-		}
-		srvs[i].Config.Handler = httpapi.New(fw, n.st, log.New(io.Discard, "", 0), httpapi.Options{
-			Durable: apiDur,
-			Repl:    n.node,
-			Elector: el,
-		})
+		nodes = append(nodes, &fnode{id: ids[i], url: "http://" + srvs[i].Listener.Addr().String(), srv: srvs[i], proc: proc})
+		srvs[i].Config.Handler = proc.Handler()
 		srvs[i].Start()
-		nodes = append(nodes, n)
-	}
-	for _, n := range nodes[1:] {
-		sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
-		err := n.fol.SyncNow(sctx)
-		scancel()
-		if err != nil {
-			return 0, 0, fmt.Errorf("bootstrap sync: %w", err)
-		}
-		go n.fol.Run(ctx)
 	}
 	for _, n := range nodes {
-		go n.el.Run(ctx)
+		n.proc.Run(ctx)
 	}
 
 	// Acknowledge a batch of writes on the live leader.
@@ -242,12 +137,12 @@ func failoverOnce(seed uint64) (time.Duration, int, error) {
 	// kill is bounded by replication lag, so wait for the tail to drain
 	// before pulling the plug (the chaos suite covers the fenced-alive
 	// cases where no quiesce is needed).
-	leaderSeq := nodes[0].dur.CommittedSeq()
+	leaderSeq := nodes[0].proc.Repl().Durable().CommittedSeq()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		caught := true
 		for _, n := range nodes[1:] {
-			if n.fol.Status().AppliedSeq < leaderSeq {
+			if n.proc.Follower().Status().AppliedSeq < leaderSeq {
 				caught = false
 			}
 		}
@@ -263,7 +158,7 @@ func failoverOnce(seed uint64) (time.Duration, int, error) {
 	// Kill. No promote call follows — the electors are on their own.
 	nodes[0].srv.CloseClientConnections()
 	nodes[0].srv.Close()
-	nodes[0].el.Stop()
+	nodes[0].proc.Elector().Stop()
 	t0 := time.Now()
 
 	deadline = time.Now().Add(15 * time.Second)
@@ -272,7 +167,7 @@ func failoverOnce(seed uint64) (time.Duration, int, error) {
 	for winner == nil {
 		if time.Now().After(deadline) {
 			return 0, 0, fmt.Errorf("no follower accepted a write within 15s of the kill: n2=%+v n3=%+v",
-				nodes[1].el.Status(), nodes[2].el.Status())
+				nodes[1].proc.Elector().Status(), nodes[2].proc.Elector().Status())
 		}
 		for _, n := range nodes[1:] {
 			if post(n.url, fmt.Sprintf("fo-%d-probe-%d", seed, probe)) {
@@ -286,7 +181,7 @@ func failoverOnce(seed uint64) (time.Duration, int, error) {
 	elapsed := time.Since(t0)
 
 	for _, id := range ackedIDs {
-		if _, err := winner.st.Get(id); err != nil {
+		if _, err := winner.proc.Store().Get(id); err != nil {
 			return 0, 0, fmt.Errorf("acked insert %s lost across unassisted failover to %s", id, winner.id)
 		}
 	}

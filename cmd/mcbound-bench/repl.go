@@ -1,7 +1,8 @@
 package main
 
 // The repl scenario: steady-state replication lag and failover cost,
-// measured over the live HTTP surface. A leader with a durable store
+// measured over the live HTTP surface between two nodes booted through
+// node.New (the mcbound-server wiring). A leader with a durable store
 // serves the WAL-shipping routes; a follower tails it with a tight poll;
 // each sampled insert is timed from leader acknowledgment to visibility
 // in the follower's store. Then the leader is torn down and the follower
@@ -11,7 +12,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -20,12 +20,8 @@ import (
 	"sort"
 	"time"
 
-	"mcbound/internal/core"
-	"mcbound/internal/fetch"
-	"mcbound/internal/httpapi"
 	"mcbound/internal/job"
-	"mcbound/internal/repl"
-	"mcbound/internal/store"
+	"mcbound/internal/node"
 )
 
 func benchRepl(rep *report) error {
@@ -46,40 +42,34 @@ func benchRepl(rep *report) error {
 	if err != nil {
 		return err
 	}
-	dur, err := store.OpenDurable(leaderDir, lst, store.DurableOptions{})
-	if err != nil {
-		return err
-	}
-	defer dur.Close()
-	fw, err := core.New(core.DefaultConfig(), fetch.StoreBackend{Store: lst})
-	if err != nil {
-		return err
-	}
-	api := httpapi.New(fw, lst, log.New(io.Discard, "", 0), httpapi.Options{
-		Durable: dur,
-		Repl:    repl.NewLeader(dur),
-	})
-	srv := httptest.NewServer(api)
-	defer srv.Close()
-
-	fst := store.New()
-	follower, err := repl.NewFollower(repl.FollowerConfig{
-		Client: repl.NewClient(repl.ClientConfig{BaseURL: srv.URL}),
-		Apply: func(payload []byte) error {
-			var j job.Job
-			if err := json.Unmarshal(payload, &j); err != nil {
-				return err
-			}
-			return fst.Insert(&j)
-		},
-		Poll: 2 * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go follower.Run(ctx)
+	quiet := log.New(io.Discard, "", 0)
+
+	lcfg := node.Defaults()
+	lcfg.DataDir = leaderDir
+	lcfg.Logger = quiet
+	leader, err := node.New(ctx, lcfg, lst)
+	if err != nil {
+		return err
+	}
+	defer leader.Close()
+	dur := leader.Repl().Durable()
+	srv := httptest.NewServer(leader.Handler())
+	defer srv.Close()
+
+	fcfg := node.Defaults()
+	fcfg.Follow = srv.URL
+	fcfg.DataDir = promDir
+	fcfg.FollowPoll = 2 * time.Millisecond
+	fcfg.Logger = quiet
+	follower, err := node.New(ctx, fcfg, nil)
+	if err != nil {
+		return err
+	}
+	defer follower.Close()
+	follower.Run(ctx)
+	fst := follower.Store()
 
 	waitFor := func(cond func() bool, what string) error {
 		deadline := time.Now().Add(30 * time.Second)
@@ -134,18 +124,13 @@ func benchRepl(rep *report) error {
 	t0 := time.Now()
 	srv.CloseClientConnections()
 	srv.Close()
-	node := repl.NewFollowerNode(follower, srv.URL, repl.PromotePlan{
-		Dir:   promDir,
-		Store: fst,
-	})
-	if _, err := node.Promote(); err != nil {
+	if _, err := follower.Repl().Promote(); err != nil {
 		return fmt.Errorf("repl bench: promote: %w", err)
 	}
-	prom := node.Durable()
+	prom := follower.Repl().Durable()
 	if prom == nil {
 		return fmt.Errorf("repl bench: promotion attached no durable store")
 	}
-	defer prom.Close()
 	if err := prom.Insert(&job.Job{
 		ID: "post-failover", User: "u0001", Name: "repl_app", Environment: "gcc/12.2",
 		CoresRequested: 48, NodesRequested: 1, NodesAllocated: 1,

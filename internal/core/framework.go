@@ -202,12 +202,9 @@ func buildModel(cfg Config) (ml.Classifier, error) {
 // Config returns the deployment configuration.
 func (f *Framework) Config() Config { return f.cfg }
 
-// SetIndexOptions overrides the KNN index switch at runtime: mode must
-// be "", "auto", "on" or "off" ("" leaves the configured mode); nprobe
-// adjusts the cells-scanned-per-query knob (0 leaves it). The mode takes
-// effect on the next Training Workflow; nprobe is additionally applied
-// to the currently served model immediately when it carries an index.
-func (f *Framework) SetIndexOptions(mode string, nprobe int) error {
+// CheckIndexOptions reports whether SetIndexOptions would accept mode
+// and nprobe, without applying them.
+func CheckIndexOptions(mode string, nprobe int) error {
 	switch knn.IndexMode(mode) {
 	case "", knn.IndexAuto, knn.IndexOn, knn.IndexOff:
 	default:
@@ -215,6 +212,18 @@ func (f *Framework) SetIndexOptions(mode string, nprobe int) error {
 	}
 	if nprobe < 0 {
 		return fmt.Errorf("core: nprobe %d must be non-negative", nprobe)
+	}
+	return nil
+}
+
+// SetIndexOptions overrides the KNN index switch at runtime: mode must
+// be "", "auto", "on" or "off" ("" leaves the configured mode); nprobe
+// adjusts the cells-scanned-per-query knob (0 leaves it). The mode takes
+// effect on the next Training Workflow; nprobe is additionally applied
+// to the currently served model immediately when it carries an index.
+func (f *Framework) SetIndexOptions(mode string, nprobe int) error {
+	if err := CheckIndexOptions(mode, nprobe); err != nil {
+		return err
 	}
 	prev := f.indexOv.Load()
 	ov := indexOverride{}

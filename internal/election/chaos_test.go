@@ -18,26 +18,21 @@ package election_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"mcbound/internal/cluster"
-	"mcbound/internal/core"
 	"mcbound/internal/election"
-	"mcbound/internal/fetch"
-	"mcbound/internal/httpapi"
-	"mcbound/internal/job"
+	"mcbound/internal/node"
 	"mcbound/internal/repl"
-	"mcbound/internal/resilience"
 	"mcbound/internal/stats"
 	"mcbound/internal/store"
 	"mcbound/internal/wal"
@@ -59,7 +54,7 @@ type chaosTransport struct {
 
 func newChaosTransport(seed uint64) *chaosTransport {
 	return &chaosTransport{
-		inner:   election.NewHTTPTransport(&http.Client{Timeout: 300 * time.Millisecond}, seed),
+		inner:   election.NewHTTPTransport(seed),
 		blocked: make(map[string]bool),
 	}
 }
@@ -149,16 +144,16 @@ func (h *flakyFile) Sync() error {
 // Cluster harness
 
 type chaosNode struct {
-	id     string
-	url    string
-	srv    *httptest.Server
-	st     *store.Store
-	node   *repl.Node
-	el     *election.Elector
-	tr     *chaosTransport
-	fol    *repl.Follower // nil on the boot leader
-	client *repl.Client   // nil on the boot leader
-	dur    *store.Durable // boot leader only
+	id   string
+	url  string
+	srv  *httptest.Server
+	proc *node.Node
+	tr   *chaosTransport
+	st   *store.Store
+	node *repl.Node
+	el   *election.Elector
+	fol  *repl.Follower // nil on the boot leader
+	dur  *store.Durable // boot leader only
 }
 
 type chaosCluster struct {
@@ -176,129 +171,53 @@ const (
 	chaosElectT    = 50 * time.Millisecond
 )
 
-// newChaosCluster boots one leader (node 0) and two live followers.
-// leaderFS, when non-nil, backs the leader's WAL (the wedge scenarios
-// pass a flakyFS).
+// newChaosCluster boots one leader (node 0) and two live followers
+// through node.New — the mcbound-server wiring — with the suite's tight
+// timings set through their flag fields. leaderFS, when non-nil, backs
+// the leader's data dir (the wedge scenarios pass a flakyFS).
 func newChaosCluster(t *testing.T, seed uint64, leaderFS wal.FS) *chaosCluster {
 	t.Helper()
 	ids := []string{"n1", "n2", "n3"}
 	srvs := make([]*httptest.Server, 3)
-	members := make([]cluster.Member, 3)
+	peers := make([]string, 3)
 	for i := range srvs {
 		srvs[i] = httptest.NewUnstartedServer(nil)
-		members[i] = cluster.Member{ID: ids[i], URL: "http://" + srvs[i].Listener.Addr().String()}
+		peers[i] = ids[i] + "=http://" + srvs[i].Listener.Addr().String()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &chaosCluster{t: t, cancel: cancel}
 	t.Cleanup(func() { c.teardown() })
 
 	for i := range ids {
-		n := &chaosNode{id: ids[i], url: members[i].URL, srv: srvs[i], tr: newChaosTransport(seed*7 + uint64(i))}
-		mem, err := cluster.New(ids[i], members)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := election.Config{
-			Members:         mem,
-			LeaseTTL:        chaosTTL,
-			HeartbeatEvery:  chaosHeartbeat,
-			MaxMissed:       2,
-			ElectionTimeout: chaosElectT,
-			RequestTimeout:  400 * time.Millisecond,
-			Seed:            seed*131 + uint64(i),
-			Transport:       n.tr,
-		}
-		var opts struct {
-			durable *store.Durable
-		}
+		n := &chaosNode{id: ids[i], url: "http://" + srvs[i].Listener.Addr().String(), srv: srvs[i], tr: newChaosTransport(seed*7 + uint64(i))}
+		cfg := node.Defaults()
+		cfg.NodeID, cfg.Peers = ids[i], strings.Join(peers, ",")
+		cfg.DataDir = t.TempDir()
+		cfg.LeaseTTL, cfg.HeartbeatEvery = chaosTTL, chaosHeartbeat
+		cfg.ElectionTimeout, cfg.MaxMissed = chaosElectT, 2
+		cfg.FollowPoll = chaosHeartbeat
+		cfg.FetchAttempts, cfg.FetchBackoff = 2, 5*time.Millisecond
+		cfg.Seed = seed*131 + uint64(i)
+		cfg.Transport = n.tr
+		cfg.Logger = log.New(io.Discard, "", 0)
 		if i == 0 {
-			n.st = store.New()
-			dfs := leaderFS
-			if dfs == nil {
-				dfs = wal.OS
-			}
-			dur, err := store.OpenDurable(t.TempDir(), n.st, store.DurableOptions{
-				FS:            dfs,
-				SnapshotEvery: 48, // let compaction run mid-chaos
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.dur = dur
-			n.node = repl.NewLeader(dur)
-			opts.durable = dur
+			cfg.FS = leaderFS
+			cfg.SnapshotEvery = 48 // let compaction run mid-chaos
 		} else {
-			n.st = store.New()
-			fst := n.st
-			n.client = repl.NewClient(repl.ClientConfig{
-				BaseURL: members[0].URL,
-				HTTP:    &http.Client{Timeout: 500 * time.Millisecond},
-				Retry: resilience.Policy{
-					MaxAttempts: 2,
-					BaseDelay:   5 * time.Millisecond,
-					MaxDelay:    20 * time.Millisecond,
-				},
-				Seed: seed*17 + uint64(i),
-			})
-			fol, err := repl.NewFollower(repl.FollowerConfig{
-				Client: n.client,
-				Apply: func(payload []byte) error {
-					var j job.Job
-					if err := json.Unmarshal(payload, &j); err != nil {
-						return err
-					}
-					return fst.Insert(&j)
-				},
-				Poll: chaosHeartbeat,
-				Seed: seed*29 + uint64(i),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.fol = fol
-			n.node = repl.NewFollowerNode(fol, members[0].URL, repl.PromotePlan{
-				Dir:   t.TempDir(),
-				Store: fst,
-			})
-			node, client := n.node, n.client
-			cfg.OnLeaderChange = func(u string) {
-				node.SetLeaderURL(u)
-				client.Redirect(u)
-			}
-			cfg.BeforePromote = election.FinalDrain(fol, 2*time.Second)
+			cfg.Follow = c.nodes[0].url
 		}
-		cfg.Node = n.node
-		el, err := election.New(cfg)
+		proc, err := node.New(ctx, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.el = el
-
-		fw, err := core.New(core.DefaultConfig(), fetch.StoreBackend{Store: n.st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i].Config.Handler = httpapi.New(fw, n.st, log.New(io.Discard, "", 0), httpapi.Options{
-			Durable: opts.durable,
-			Repl:    n.node,
-			Elector: el,
-		})
-		srvs[i].Start()
+		n.proc, n.st, n.node, n.el = proc, proc.Store(), proc.Repl(), proc.Elector()
+		n.fol, n.dur = proc.Follower(), proc.Repl().Durable()
 		c.nodes = append(c.nodes, n)
-	}
-	// Bootstrap followers against the live leader, then let everything
-	// self-drive.
-	for _, n := range c.nodes[1:] {
-		sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
-		if err := n.fol.SyncNow(sctx); err != nil {
-			scancel()
-			t.Fatalf("bootstrap sync: %v", err)
-		}
-		scancel()
-		go n.fol.Run(ctx)
+		srvs[i].Config.Handler = proc.Handler()
+		srvs[i].Start()
 	}
 	for _, n := range c.nodes {
-		go n.el.Run(ctx)
+		n.proc.Run(ctx)
 	}
 	return c
 }
@@ -306,19 +225,8 @@ func newChaosCluster(t *testing.T, seed uint64, leaderFS wal.FS) *chaosCluster {
 func (c *chaosCluster) teardown() {
 	c.cancel()
 	for _, n := range c.nodes {
-		n.el.Stop()
-		if n.fol != nil {
-			n.fol.Stop()
-		}
-	}
-	for _, n := range c.nodes {
 		n.srv.Close()
-		if n.dur != nil {
-			n.dur.Close()
-		}
-		if d := n.node.Durable(); d != nil && d != n.dur {
-			d.Close()
-		}
+		n.proc.Close()
 	}
 }
 

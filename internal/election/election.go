@@ -95,9 +95,6 @@ type Config struct {
 	// each armed election fires after uniform [T, 2T), re-drawn per
 	// attempt so the fleet doesn't stampede. <= 0 selects 1 s.
 	ElectionTimeout time.Duration
-	// RequestTimeout bounds each transport call (lease poll, ack, vote).
-	// <= 0 selects 2 s.
-	RequestTimeout time.Duration
 	// Seed drives the election-timeout jitter and step jitter.
 	Seed uint64
 	// Now overrides time.Now (deterministic tests).
@@ -164,6 +161,13 @@ type Elector struct {
 	lastErr     string
 }
 
+const (
+	// requestTimeout bounds each transport call (lease poll, ack, vote).
+	requestTimeout = 2 * time.Second
+	// finalDrainBudget bounds FinalDrain.
+	finalDrainBudget = 10 * time.Second
+)
+
 // New builds an Elector, initializing from the node's current role.
 func New(cfg Config) (*Elector, error) {
 	if cfg.Node == nil {
@@ -187,14 +191,11 @@ func New(cfg Config) (*Elector, error) {
 	if cfg.ElectionTimeout <= 0 {
 		cfg.ElectionTimeout = time.Second
 	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 2 * time.Second
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	if cfg.Transport == nil {
-		cfg.Transport = NewHTTPTransport(nil, cfg.Seed)
+		cfg.Transport = NewHTTPTransport(cfg.Seed)
 	}
 	if cfg.FS == nil {
 		cfg.FS = wal.OS
@@ -424,7 +425,7 @@ func (e *Elector) followerStep(ctx context.Context) {
 	}
 
 	if target != "" && target != e.self.URL {
-		cctx, cancel := context.WithTimeout(ctx, e.cfg.RequestTimeout)
+		cctx, cancel := context.WithTimeout(ctx, requestTimeout)
 		lease, err := e.tr.GetLease(cctx, target)
 		cancel()
 		if err == nil && e.adoptLease(lease, false) {
@@ -540,7 +541,7 @@ func (e *Elector) sendAck(ctx context.Context, l wal.Lease) {
 	if target == "" {
 		return
 	}
-	cctx, cancel := context.WithTimeout(ctx, e.cfg.RequestTimeout)
+	cctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	if _, err := e.tr.Ack(cctx, target, req); err != nil {
 		e.mu.Lock()
@@ -556,7 +557,7 @@ func (e *Elector) discoverLeader(ctx context.Context) bool {
 	if len(peers) == 0 {
 		return false
 	}
-	cctx, cancel := context.WithTimeout(ctx, e.cfg.RequestTimeout)
+	cctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	leases := make(chan wal.Lease, len(peers))
 	var wg sync.WaitGroup
@@ -611,7 +612,7 @@ func (e *Elector) runElection(ctx context.Context) {
 
 	req := AckRequest{NodeID: e.self.ID, URL: e.self.URL, Term: claim, AppliedSeq: mySeq, Claim: true}
 	peers := e.members.Peers()
-	cctx, cancel := context.WithTimeout(ctx, e.cfg.RequestTimeout)
+	cctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	results := make(chan AckResponse, len(peers))
 	var wg sync.WaitGroup
 	for _, p := range peers {
@@ -990,12 +991,12 @@ func (e *Elector) nodeEpochLocked() uint64 {
 // FinalDrain builds a BeforePromote hook that drains f to the dead
 // leader's committed watermark: sync rounds continue until the applied
 // sequence reaches the manifest's committed sequence, two consecutive
-// rounds make no progress, or the budget elapses. With the WAL surface
-// of a wedged-but-reachable leader, this pulls every acknowledged
-// insert before the successor fences it.
-func FinalDrain(f *repl.Follower, budget time.Duration) func(context.Context) {
+// rounds make no progress, or finalDrainBudget elapses. With the WAL
+// surface of a wedged-but-reachable leader, this pulls every
+// acknowledged insert before the successor fences it.
+func FinalDrain(f *repl.Follower) func(context.Context) {
 	return func(ctx context.Context) {
-		ctx, cancel := context.WithTimeout(ctx, budget)
+		ctx, cancel := context.WithTimeout(ctx, finalDrainBudget)
 		defer cancel()
 		var prev uint64
 		stalls := 0

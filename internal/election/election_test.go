@@ -117,7 +117,6 @@ func testConfig(t *testing.T, m cluster.Membership, node *repl.Node, clk *fakeCl
 		HeartbeatEvery:  500 * time.Millisecond,
 		MaxMissed:       3,
 		ElectionTimeout: time.Second,
-		RequestTimeout:  time.Second,
 		Seed:            42,
 		Now:             clk.Now,
 		Transport:       tr,

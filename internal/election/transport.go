@@ -60,14 +60,11 @@ type HTTPTransport struct {
 	retr *resilience.Retrier
 }
 
-// NewHTTPTransport builds the production transport. A nil client
-// selects a 2 s timeout; seed drives the retry backoff jitter.
-func NewHTTPTransport(hc *http.Client, seed uint64) *HTTPTransport {
-	if hc == nil {
-		hc = &http.Client{Timeout: 2 * time.Second}
-	}
+// NewHTTPTransport builds the production transport; seed drives the
+// retry backoff jitter.
+func NewHTTPTransport(seed uint64) *HTTPTransport {
 	return &HTTPTransport{
-		hc: hc,
+		hc: &http.Client{Timeout: requestTimeout},
 		retr: resilience.NewRetrier(resilience.Policy{
 			MaxAttempts: 2,
 			BaseDelay:   10 * time.Millisecond,

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"mcbound/internal/job"
 	"mcbound/internal/repl"
 	"mcbound/internal/store"
 	"mcbound/internal/wal"
@@ -50,13 +49,7 @@ func newReplPair(t *testing.T) *replPair {
 	p.followerSt = store.New()
 	p.follower, err = repl.NewFollower(repl.FollowerConfig{
 		Client: repl.NewClient(repl.ClientConfig{BaseURL: p.leaderSrv.URL}),
-		Apply: func(payload []byte) error {
-			var j job.Job
-			if err := json.Unmarshal(payload, &j); err != nil {
-				return err
-			}
-			return p.followerSt.Insert(&j)
-		},
+		Apply:  p.followerSt.ApplyRecord,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,9 +42,6 @@ var ErrSourceNotLeader = errors.New("repl: source is not a leader")
 type ClientConfig struct {
 	// BaseURL is the leader's address, e.g. "http://leader:8080".
 	BaseURL string
-	// HTTP overrides the transport; nil selects a client with a 30 s
-	// overall timeout.
-	HTTP *http.Client
 	// Retry is the per-request retry policy (resilience defaults apply).
 	Retry resilience.Policy
 	// Breaker guards the leader connection as one health state.
@@ -86,13 +83,9 @@ type Client struct {
 
 // NewClient builds a replication client for the leader at cfg.BaseURL.
 func NewClient(cfg ClientConfig) *Client {
-	hc := cfg.HTTP
-	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
-	}
 	return &Client{
 		base:    strings.TrimRight(cfg.BaseURL, "/"),
-		hc:      hc,
+		hc:      &http.Client{Timeout: 30 * time.Second},
 		retr:    resilience.NewRetrier(cfg.Retry, cfg.Seed).WithBudget(cfg.Budget),
 		brk:     resilience.NewBreaker(cfg.Breaker),
 		allowed: cfg.Allowed,

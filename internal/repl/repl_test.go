@@ -79,14 +79,8 @@ func newFollowerPair(t *testing.T, url string) (*repl.Follower, *store.Store) {
 	fst := store.New()
 	f, err := repl.NewFollower(repl.FollowerConfig{
 		Client: repl.NewClient(repl.ClientConfig{BaseURL: url, Seed: 11}),
-		Apply: func(p []byte) error {
-			var j job.Job
-			if err := json.Unmarshal(p, &j); err != nil {
-				return err
-			}
-			return fst.Insert(&j)
-		},
-		Logf: t.Logf,
+		Apply:  fst.ApplyRecord,
+		Logf:   t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,11 +274,7 @@ func TestFollowerCrashMidApplyResyncFromSnapshot(t *testing.T) {
 				return fmt.Errorf("kill point: follower dies mid-apply")
 			}
 			applied++
-			var j job.Job
-			if err := json.Unmarshal(p, &j); err != nil {
-				return err
-			}
-			return fst1.Insert(&j)
+			return fst1.ApplyRecord(p)
 		},
 		Logf: t.Logf,
 	})
@@ -349,14 +339,8 @@ func TestFollowerHealthStates(t *testing.T) {
 	clock := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	fst := store.New()
 	f, err := repl.NewFollower(repl.FollowerConfig{
-		Client: repl.NewClient(repl.ClientConfig{BaseURL: srv.URL, Seed: 5}),
-		Apply: func(p []byte) error {
-			var j job.Job
-			if err := json.Unmarshal(p, &j); err != nil {
-				return err
-			}
-			return fst.Insert(&j)
-		},
+		Client:          repl.NewClient(repl.ClientConfig{BaseURL: srv.URL, Seed: 5}),
+		Apply:           fst.ApplyRecord,
 		MaxLag:          10 * time.Second,
 		DisconnectAfter: time.Minute,
 		Now:             func() time.Time { return clock },

@@ -64,9 +64,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 

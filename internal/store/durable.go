@@ -68,13 +68,7 @@ func OpenDurable(dir string, seed *Store, opts DurableOptions) (*Durable, error)
 		FS:             opts.FS,
 		AppendObserver: opts.AppendObserver,
 		BumpEpoch:      opts.BumpEpoch,
-	}, func(payload []byte) error {
-		var j job.Job
-		if err := json.Unmarshal(payload, &j); err != nil {
-			return fmt.Errorf("store: replay record: %w", err)
-		}
-		return s.Insert(&j)
-	})
+	}, s.ApplyRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -97,6 +91,17 @@ func OpenDurable(dir string, seed *Store, opts DurableOptions) (*Durable, error)
 		}
 	}
 	return d, nil
+}
+
+// ApplyRecord decodes one logged job record (the payload Insert
+// writes) and inserts it. It is the only decoder of the record format:
+// crash recovery and every replication follower apply through it.
+func (s *Store) ApplyRecord(payload []byte) error {
+	var j job.Job
+	if err := json.Unmarshal(payload, &j); err != nil {
+		return fmt.Errorf("store: decode record: %w", err)
+	}
+	return s.Insert(&j)
 }
 
 // Store exposes the in-memory repository for the read paths (queries
@@ -242,13 +247,7 @@ func AttachDurable(dir string, st *Store, baseSeq uint64, opts DurableOptions) (
 // does not own.
 func LoadReadOnly(dir string, fsys wal.FS) (*Store, wal.Recovery, error) {
 	s := New()
-	w, rec, err := wal.Open(dir, wal.Options{FS: fsys, ReadOnly: true}, func(payload []byte) error {
-		var j job.Job
-		if err := json.Unmarshal(payload, &j); err != nil {
-			return fmt.Errorf("store: replay record: %w", err)
-		}
-		return s.Insert(&j)
-	})
+	w, rec, err := wal.Open(dir, wal.Options{FS: fsys, ReadOnly: true}, s.ApplyRecord)
 	if err != nil {
 		return nil, rec, err
 	}
